@@ -38,6 +38,15 @@ def test_huffman_build(benchmark, field, eb):
     benchmark(huffman.build, codes)
 
 
+@pytest.mark.parametrize("ds,fld", [("SCALE", "PRES"), ("RTM", "1000")])
+def test_huffman_build_large_alphabet(benchmark, ds, fld):
+    """eb = 1e-6·range: 6.0 k (SCALE/PRES) and 30.2 k (RTM/1000) distinct
+    Lorenzo codes, where the tree build itself dominates."""
+    d = sci_data.generate(ds, fld, "bench")
+    codes, _ = get_predictor("lorenzo").compress(d, 1e-6 * float(d.max() - d.min()))
+    benchmark(huffman.build, codes)
+
+
 def test_huffman_encode_bitstream(benchmark, field, eb):
     codes, _ = get_predictor("lorenzo").compress(field, eb)
     code = huffman.build(codes)

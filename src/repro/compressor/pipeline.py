@@ -14,6 +14,7 @@ The lossless variant replaces the huffman payload with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,10 @@ class CompressedField:
             + HEADER_BYTES
         )
 
-    @property
+    @cached_property
     def nbytes_lossless(self) -> int:
-        """Total size with Huffman + lossless stage (zlib over bitstream)."""
+        """Total size with Huffman + lossless stage (zlib over bitstream);
+        computed on first use, so the lossless stage runs once per field."""
         ll = rle.lossless_bytes(self.payload)
         return (
             min(ll, -(-self.huffman_payload_bits // 8))

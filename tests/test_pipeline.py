@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import sci_data
-from repro.compressor import pipeline
+from repro.compressor import pipeline, rle
 
 PREDS = ["lorenzo", "interp", "regression"]
 
@@ -99,3 +99,29 @@ def test_payload_is_real_bitstream():
     np.testing.assert_array_equal(
         c.code.decode(c.payload, c.codes.size), c.codes
     )
+
+
+@pytest.mark.parametrize("pred", PREDS)
+def test_payload_matches_reference_encoder(pred):
+    """Every field generator × two bounds, one giving a few symbols and one
+    giving alphabets wide enough to take the sparse lookup path."""
+    from tests.test_huffman import ref_build, ref_encode
+
+    for s in sci_data.FIELDS:
+        d = sci_data.generate(s.dataset, s.field, "test")
+        rng = float(d.max() - d.min())
+        for ebr in (1e-2, 1e-5):
+            c = pipeline.compress(d, pred, ebr * rng)
+            assert c.payload == ref_encode(ref_build(c.codes), c.codes), (s, ebr)
+
+
+def test_measure_runs_lossless_stage_once(monkeypatch):
+    d = sci_data.generate("SCALE", "PRES", "test")
+    eb = 1e-3 * float(d.max() - d.min())
+    want = pipeline.measure(d, "lorenzo", eb)
+    calls = []
+    real = rle.lossless_bytes
+    monkeypatch.setattr(rle, "lossless_bytes", lambda p: calls.append(p) or real(p))
+    got = pipeline.measure(d, "lorenzo", eb)
+    assert len(calls) == 1
+    assert (got["nbytes_ll"], got["bitrate_ll"]) == (want["nbytes_ll"], want["bitrate_ll"])
