@@ -3,8 +3,8 @@
 Implements, from scratch in numpy, the three-stage framework the paper's
 model is built over (Fig. 2): prediction (Lorenzo / multilevel linear
 interpolation / block linear regression), linear-scaling quantization with a
-point-wise absolute error bound, and encoding (canonical Huffman + RLE /
-zlib lossless stage). The paper uses SZ3 (C++); see DESIGN.md §2 for the
+point-wise absolute error bound, and encoding (canonical Huffman + zlib
+lossless stage). The paper uses SZ3 (C++); see DESIGN.md §2 for the
 substitution argument.
 """
 from .pipeline import CompressedField, compress, decompress, measure  # noqa: F401

@@ -14,14 +14,14 @@ __all__ = ["quantize", "dequantize", "reconstruction_errors"]
 
 def quantize(err: np.ndarray, eb: float) -> np.ndarray:
     """Prediction errors → integer quantization codes (bin width 2·eb)."""
-    if eb <= 0:
-        raise ValueError("error bound must be positive")
+    if not 0 < eb < np.inf:  # also rejects NaN
+        raise ValueError(f"error bound must be finite and positive, got {eb!r}")
     return np.rint(np.asarray(err, dtype=np.float64) / (2.0 * eb)).astype(np.int64)
 
 
 def dequantize(codes: np.ndarray, eb: float) -> np.ndarray:
     """Quantization codes → reconstructed prediction errors (bin centres)."""
-    return (2.0 * eb) * np.asarray(codes, dtype=np.float64)
+    return np.multiply(2.0 * eb, codes, dtype=np.float64)
 
 
 def reconstruction_errors(err: np.ndarray, eb: float) -> np.ndarray:

@@ -113,9 +113,6 @@ class RatioQualityModel:
             "ssim": quality_model.ssim_est(self.sigma_d2, s2, self.value_range),
         }
 
-    def estimate_many(self, ebs_abs) -> list[dict]:
-        return [self.estimate(e) for e in ebs_abs]
-
     # ------------------------------------------------------------------
     def error_bound_for_bitrate(self, target_bits_per_point: float, lossless: bool = True) -> float:
         """Invert the model: error bound achieving a target bit-rate
@@ -129,20 +126,19 @@ class RatioQualityModel:
         hi = max(self.value_range, lo * 10)
         return ratio_model.invert_bitrate(est, target_bits_per_point, lo, hi)
 
-    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
-        """Invert the quality model: largest error bound whose estimated
-        PSNR still meets ``target_psnr_db`` (in-situ use-case 3). Bisection
-        on the model's (monotone) PSNR(eb) curve — again pure model
-        evaluations on the sample."""
+    def _largest_eb(self, ok) -> float:
+        """Largest error bound in [1e-9·range, range] that satisfies the
+        monotone predicate ``ok`` (true at small bounds): geometric bisection
+        to a 0.1% bracket, on pure model evaluations."""
         lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
         hi = max(self.value_range, lo * 10)
-        if self.estimate(hi)["psnr"] >= target_psnr_db:
+        if ok(hi):
             return hi
-        if self.estimate(lo)["psnr"] < target_psnr_db:
+        if not ok(lo):
             return lo
         for _ in range(60):
             mid = float(np.sqrt(lo * hi))
-            if self.estimate(mid)["psnr"] >= target_psnr_db:
+            if ok(mid):
                 lo = mid
             else:
                 hi = mid
@@ -150,27 +146,18 @@ class RatioQualityModel:
                 break
         return lo
 
+    def error_bound_for_psnr(self, target_psnr_db: float) -> float:
+        """Invert the quality model: largest error bound whose estimated
+        PSNR still meets ``target_psnr_db`` (in-situ use-case 3)."""
+        return self._largest_eb(lambda eb: self.estimate(eb)["psnr"] >= target_psnr_db)
+
     def error_bound_for_mse(self, target_mse: float) -> float:
         """Largest error bound whose estimated error variance stays at or
         below ``target_mse``. Used when the quality target is expressed
         against a *global* peak (e.g. a snapshot-level PSNR floor while this
         model only sees one rank's partition): the caller converts the
         global PSNR to an MSE budget, which is range-free."""
-        lo = max(self.value_range * 1e-9, np.finfo(np.float64).tiny)
-        hi = max(self.value_range, lo * 10)
-        if self._sigma_e2(hi) <= target_mse:
-            return hi
-        if self._sigma_e2(lo) > target_mse:
-            return lo
-        for _ in range(60):
-            mid = float(np.sqrt(lo * hi))
-            if self._sigma_e2(mid) <= target_mse:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.001:
-                break
-        return lo
+        return self._largest_eb(lambda eb: self._sigma_e2(eb) <= target_mse)
 
     def estimate_fft(self, eb_abs: float, pk: np.ndarray, modes_per_bin: np.ndarray, uniform_only: bool = False) -> float:
         """Estimated FFT power-spectrum distortion (§III-E-4) given the

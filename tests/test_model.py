@@ -83,6 +83,74 @@ def test_error_bound_for_psnr_roundtrip(field_data):
     assert meas >= 58.0
 
 
+@pytest.mark.parametrize("pred", PREDS)
+def test_error_bound_for_mse_roundtrip(field_data, pred):
+    d = field_data[("CESM", "TS")]
+    rng = float(d.max() - d.min())
+    m = RatioQualityModel(d, pred, seed=15)
+    target = 1e-6 * rng**2
+    eb = m.error_bound_for_mse(target)
+    # largest bound meeting the budget, to the 0.1% bisection bracket
+    assert m.estimate(eb)["sigma_e2"] <= target
+    assert m.estimate(eb * 1.002)["sigma_e2"] > target
+    # and the real compressor's MSE lands near the budget
+    rec = pipeline.decompress(pipeline.compress(d, pred, eb))
+    assert np.mean((np.asarray(d, np.float64) - rec) ** 2) == pytest.approx(target, rel=0.25)
+
+
+def ref_error_bound_for_psnr(m, target_psnr_db):
+    """The bisection ``error_bound_for_psnr`` used before it shared one
+    loop with ``error_bound_for_mse``."""
+    lo = max(m.value_range * 1e-9, np.finfo(np.float64).tiny)
+    hi = max(m.value_range, lo * 10)
+    if m.estimate(hi)["psnr"] >= target_psnr_db:
+        return hi
+    if m.estimate(lo)["psnr"] < target_psnr_db:
+        return lo
+    for _ in range(60):
+        mid = float(np.sqrt(lo * hi))
+        if m.estimate(mid)["psnr"] >= target_psnr_db:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.001:
+            break
+    return lo
+
+
+def ref_error_bound_for_mse(m, target_mse):
+    """The bisection ``error_bound_for_mse`` used before it shared one loop
+    with ``error_bound_for_psnr``."""
+    lo = max(m.value_range * 1e-9, np.finfo(np.float64).tiny)
+    hi = max(m.value_range, lo * 10)
+    if m._sigma_e2(hi) <= target_mse:
+        return hi
+    if m._sigma_e2(lo) > target_mse:
+        return lo
+    for _ in range(60):
+        mid = float(np.sqrt(lo * hi))
+        if m._sigma_e2(mid) <= target_mse:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.001:
+            break
+    return lo
+
+
+@pytest.mark.parametrize("pred", PREDS)
+def test_quality_inversions_match_reference_bisection(pred):
+    """Exact float equality on every field generator (test scale)."""
+    for s in sci_data.FIELDS:
+        d = sci_data.generate(s.dataset, s.field, "test")
+        m = RatioQualityModel(d, pred, seed=7)
+        for t in (30.0, 56.0, 80.0):
+            assert m.error_bound_for_psnr(t) == ref_error_bound_for_psnr(m, t), (s, t)
+        for t in (1e-2, 1e-5, 1e-8):
+            mse = t * m.value_range**2
+            assert m.error_bound_for_mse(mse) == ref_error_bound_for_mse(m, mse), (s, t)
+
+
 def test_uniform_only_baseline_differs_at_high_eb(field_data):
     """The prior-work uniform-distribution baseline (dashed lines in
     Figs. 6/8) must coincide at low error bounds and diverge at high ones
@@ -126,13 +194,6 @@ def test_model_deterministic(field_data):
     a = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)
     b = RatioQualityModel(d, "lorenzo", seed=11).estimate(0.5)
     assert a == b
-
-
-def test_estimate_many(field_data):
-    d = field_data[("SCALE", "PRES")]
-    m = RatioQualityModel(d, "lorenzo", seed=12)
-    out = m.estimate_many([m.abs_bound(r) for r in (1e-3, 1e-2)])
-    assert len(out) == 2
 
 
 def test_fft_estimate(field_data):

@@ -125,3 +125,11 @@ def test_measure_runs_lossless_stage_once(monkeypatch):
     got = pipeline.measure(d, "lorenzo", eb)
     assert len(calls) == 1
     assert (got["nbytes_ll"], got["bitrate_ll"]) == (want["nbytes_ll"], want["bitrate_ll"])
+
+
+@pytest.mark.parametrize("pred", PREDS)
+@pytest.mark.parametrize("eb", [0.0, -1e-3, float("nan"), float("inf")])
+def test_compress_rejects_invalid_error_bound(pred, eb):
+    d = sci_data.generate("SCALE", "PRES", "test")
+    with pytest.raises(ValueError, match="finite and positive"):
+        pipeline.compress(d, pred, eb)
