@@ -1,8 +1,9 @@
 """Table II: accuracy of the ratio-quality model on all 17 dataset fields.
 
 For every field: chunk it (Spark), run the model (executor-side, 1% sample)
-and the real compressor across the 7-error-bound sweep, join the two metric
-streams in Spark SQL, and compute the paper's Eq. 20 error per column:
+and the real compressor across the 7-error-bound sweep in one pass that puts
+estimate and measurement on the same row, and compute the paper's Eq. 20
+error per column in Spark SQL:
 
   Sample Err. | Huff Err. | Lossless Err. | Huff+LL Err. | PSNR Err. | SSIM Err.
 
@@ -25,7 +26,7 @@ from pyspark.sql import functions as F
 from repro import analysis, sci_data
 from repro.config import EB_SWEEP_REL
 from repro.core.model import RatioQualityModel
-from repro.sparklayer import array_to_chunks, estimate_metrics, measure_metrics, sample_reports
+from repro.sparklayer import array_to_chunks, chunk_metrics
 
 from _common import emit, get_spark
 
@@ -52,28 +53,13 @@ def _eq20_sql(col: str) -> F.Column:
 
 
 def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") -> pd.DataFrame:
-    chunks = build_corpus(spark, scale).cache()
-    est = estimate_metrics(chunks, [predictor], EB_SWEEP_REL, seed=7)
-    meas = measure_metrics(chunks, [predictor], EB_SWEEP_REL)
-    keys = ["dataset", "field", "chunk_id", "predictor", "eb_rel"]
-    e = est.select(
-        *keys,
-        F.col("bitrate_huff").alias("e_huff"),
-        F.col("bitrate_ll").alias("e_ll"),
-        F.col("psnr").alias("e_psnr"),
-        F.col("ssim").alias("e_ssim"),
-    )
-    m = meas.select(
-        *keys,
-        F.col("bitrate_huff").alias("m_huff"),
-        F.col("bitrate_ll").alias("m_ll"),
-        F.col("psnr").alias("m_psnr"),
-        F.col("ssim").alias("m_ssim"),
-    )
-    j = e.join(m, keys)
-    j = j.select(
+    # one partition per core, not per chunk: with a task per chunk, Spark's
+    # per-task overhead cost more than the chunks' own work
+    chunks = build_corpus(spark, scale).coalesce(spark.sparkContext.defaultParallelism)
+    j = chunk_metrics(chunks, [predictor], EB_SWEEP_REL, seed=7).select(
         "dataset",
         "field",
+        "sample_err",
         (F.col("m_huff") / F.col("e_huff")).alias("r_huff"),
         # "Lossless": the *extra* ratio contributed by the lossless stage
         ((F.col("m_huff") / F.col("m_ll")) / (F.col("e_huff") / F.col("e_ll"))).alias("r_extra"),
@@ -89,10 +75,12 @@ def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") 
         ).otherwise(
             (F.lit(1.0) - F.col("m_ssim")) / (F.lit(1.0) - F.col("e_ssim"))
         ).alias("r_ssim_dist"),
-    ).cache()
-    agg = (
+    )
+    out = (
         j.groupBy("dataset", "field")
         .agg(
+            # non-null on one row per chunk
+            F.avg("sample_err").alias("sample_err"),
             _eq20_sql("r_huff"),
             _eq20_sql("r_extra"),
             _eq20_sql("r_lltot"),
@@ -102,13 +90,6 @@ def main(spark: SparkSession, scale: str = "bench", predictor: str = "lorenzo") 
         )
         .toPandas()
     )
-    samp = (
-        sample_reports(chunks, predictor, rate=0.01, seed=7)
-        .groupBy("dataset", "field")
-        .agg(F.avg("sample_err").alias("sample_err"))
-        .toPandas()
-    )
-    out = samp.merge(agg, on=["dataset", "field"])
     order = {(s.dataset, s.field): i for i, s in enumerate(sci_data.FIELDS)}
     out["__o"] = out.apply(lambda r: order[(r["dataset"], r["field"])], axis=1)
     out = out.sort_values("__o").drop(columns="__o").reset_index(drop=True)

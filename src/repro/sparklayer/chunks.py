@@ -7,6 +7,8 @@ contiguous sub-domain of a snapshot in the paper's parallel-HDF5 setup.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -15,6 +17,7 @@ from pyspark.sql import types as T
 __all__ = [
     "CHUNK_SCHEMA",
     "array_to_chunks",
+    "batch_arrays",
     "chunk_rows",
     "chunk_to_array",
     "chunks_to_arrays",
@@ -73,6 +76,15 @@ def chunk_to_array(row) -> np.ndarray:
     return np.frombuffer(row["values"], dtype=np.dtype(row["dtype"])).reshape(
         tuple(row["dims"])
     )
+
+
+def batch_arrays(pdf: pd.DataFrame) -> Iterator[tuple[str, str, int, np.ndarray]]:
+    """A ``mapInPandas`` batch of chunk rows → ``(dataset, field, chunk_id,
+    array)`` per chunk, read column by column."""
+    cols = ("dataset", "field", "chunk_id", "dims", "dtype", "values")
+    for dataset, field, cid, dims, dtype, values in zip(*(pdf[c] for c in cols)):
+        arr = chunk_to_array({"values": values, "dtype": dtype, "dims": dims})
+        yield dataset, field, int(cid), arr
 
 
 def chunks_to_arrays(df: DataFrame) -> dict[tuple[str, str, int], np.ndarray]:

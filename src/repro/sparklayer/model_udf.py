@@ -1,19 +1,19 @@
-"""Per-partition ratio-quality modeling and ground-truth compression,
-as Arrow ``mapInPandas`` transformations over chunk DataFrames.
+"""Per-chunk ratio-quality modeling beside ground-truth compression, as one
+Arrow ``mapInPandas`` pass over a chunk DataFrame.
 
-``estimate_metrics`` runs the paper's model (one-time 1% sample per chunk ×
-predictor, then per-error-bound estimates); ``measure_metrics`` runs the
-real SZ3-lite compressor (the trial-and-error unit of work) and measures
-ratio + post-hoc quality. Both emit one row per (chunk, predictor, eb) with
-identical schema so they join/diff in Spark SQL; wall-clock columns feed the
-overhead study (Fig. 9 / Table E1).
+``chunk_metrics`` runs, for each chunk and predictor, the paper's model (one
+1% sample, then per-error-bound estimates), the real SZ3-lite compressor at
+the same bounds (the trial-and-error unit of work) and the Table II "Sample
+Err." report. It emits one row per (chunk, predictor, eb) carrying the
+estimated (``e_*``) and measured (``m_*``) metrics side by side, so the
+model-vs-truth comparison is plain Spark SQL over one frame with no join.
+The per-layer seconds columns feed the overhead study (Fig. 9 / Table E1).
 """
 from __future__ import annotations
 
 import time
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import types as T
@@ -21,9 +21,12 @@ from pyspark.sql import types as T
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 from ..core.sampling import sample_error_report
-from .chunks import chunk_to_array
+from .chunks import batch_arrays
 
-__all__ = ["METRIC_SCHEMA", "estimate_metrics", "measure_metrics", "sample_reports"]
+__all__ = ["METRIC_SCHEMA", "chunk_metrics"]
+
+#: metric column suffix → key of the estimate / measurement dicts
+METRICS = {"huff": "bitrate_huff", "ll": "bitrate_ll", "p0": "p0", "psnr": "psnr", "ssim": "ssim"}
 
 METRIC_SCHEMA = T.StructType(
     [
@@ -31,158 +34,73 @@ METRIC_SCHEMA = T.StructType(
         T.StructField("field", T.StringType(), False),
         T.StructField("chunk_id", T.IntegerType(), False),
         T.StructField("predictor", T.StringType(), False),
-        T.StructField("kind", T.StringType(), False),  # "est" | "meas"
         T.StructField("eb_rel", T.DoubleType(), False),
         T.StructField("eb_abs", T.DoubleType(), False),
         T.StructField("n_points", T.LongType(), False),
-        T.StructField("bitrate_huff", T.DoubleType(), False),
-        T.StructField("bitrate_ll", T.DoubleType(), False),
-        T.StructField("p0", T.DoubleType(), False),
-        T.StructField("psnr", T.DoubleType(), False),
-        T.StructField("ssim", T.DoubleType(), True),
-        T.StructField("seconds", T.DoubleType(), False),
+        *[
+            T.StructField(f"{side}_{m}", T.DoubleType(), m == "ssim")
+            for side in ("e", "m")
+            for m in METRICS
+        ],
+        T.StructField("sample_err", T.DoubleType(), True),
+        T.StructField("build_s", T.DoubleType(), False),
+        T.StructField("estimate_s", T.DoubleType(), False),
+        T.StructField("measure_s", T.DoubleType(), False),
+        T.StructField("sample_s", T.DoubleType(), False),
     ]
 )
 
 
-def _iter_rows(batches: Iterable[pd.DataFrame]) -> Iterator[dict]:
-    for pdf in batches:
-        for _, row in pdf.iterrows():
-            yield row
-
-
-def estimate_metrics(
+def chunk_metrics(
     chunks: DataFrame,
     predictors: Sequence[str],
     ebs_rel: Sequence[float],
     sample_rate: float = 0.01,
     seed: int = 0,
 ) -> DataFrame:
-    """Model estimates per (chunk, predictor, error bound).
+    """Model estimate and measured truth per (chunk, predictor, error bound).
 
-    ``seconds`` on each row is that estimate's marginal cost; the one-time
-    sampling cost is amortized into the first row of each (chunk, predictor)
-    group — summing ``seconds`` over a group gives the full model cost, the
-    quantity compared against trial-and-error in the overhead study.
+    The one-time costs of a (chunk, predictor) — the model build and the
+    sample report — sit on its first error-bound row (``build_s``,
+    ``sample_s``, ``sample_err``) and are 0 / null on the others, so a group
+    sum of ``build_s + estimate_s`` is the full model cost and ``avg`` of
+    ``sample_err`` counts each chunk once. SSIM is measured only for 2D/3D
+    chunks (NaN otherwise).
     """
     preds = list(predictors)
     ebs = [float(e) for e in ebs_rel]
 
     def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
+        for pdf in batches:
             out = []
-            for p in preds:
-                t0 = time.perf_counter()
-                model = RatioQualityModel(arr, p, sample_rate=sample_rate, seed=seed)
-                t_build = time.perf_counter() - t0
-                for i, ebr in enumerate(ebs):
+            for dataset, field, cid, arr in batch_arrays(pdf):
+                ssim_ok = arr.ndim in (2, 3)
+                for p in preds:
                     t0 = time.perf_counter()
-                    est = model.estimate(model.abs_bound(ebr))
-                    dt = time.perf_counter() - t0 + (t_build if i == 0 else 0.0)
-                    out.append(
-                        dict(
-                            dataset=row["dataset"],
-                            field=row["field"],
-                            chunk_id=int(row["chunk_id"]),
-                            predictor=p,
-                            kind="est",
-                            eb_rel=ebr,
-                            eb_abs=est["eb_abs"],
-                            n_points=int(arr.size),
-                            bitrate_huff=est["bitrate_huff"],
-                            bitrate_ll=est["bitrate_ll"],
-                            p0=est["p0"],
-                            psnr=est["psnr"],
-                            ssim=est["ssim"],
-                            seconds=dt,
-                        )
+                    model = RatioQualityModel(arr, p, sample_rate=sample_rate, seed=seed)
+                    t1 = time.perf_counter()
+                    rep = sample_error_report(arr, p, rate=sample_rate, seed=seed)
+                    once = dict(
+                        sample_err=rep["sample_err"],
+                        build_s=t1 - t0,
+                        sample_s=time.perf_counter() - t1,
                     )
-            yield pd.DataFrame(out)
+                    for ebr in ebs:
+                        eb_abs = model.abs_bound(ebr)
+                        t0 = time.perf_counter()
+                        est = model.estimate(eb_abs)
+                        t1 = time.perf_counter()
+                        m = pipeline.measure(arr, p, eb_abs, with_ssim=ssim_ok)
+                        t2 = time.perf_counter()
+                        row = dict(
+                            dataset=dataset, field=field, chunk_id=cid, predictor=p,
+                            eb_rel=ebr, eb_abs=eb_abs, n_points=int(arr.size),
+                            estimate_s=t1 - t0, measure_s=t2 - t1, **once,
+                        )
+                        row.update({f"e_{c}": est[k] for c, k in METRICS.items()})
+                        row.update({f"m_{c}": m[k] for c, k in METRICS.items()})
+                        out.append(row)
+                        once = dict(sample_err=None, build_s=0.0, sample_s=0.0)
+            yield pd.DataFrame(out, columns=METRIC_SCHEMA.fieldNames())
 
     return chunks.mapInPandas(run, schema=METRIC_SCHEMA)
-
-
-def measure_metrics(
-    chunks: DataFrame,
-    predictors: Sequence[str],
-    ebs_rel: Sequence[float],
-    with_ssim: bool = True,
-) -> DataFrame:
-    """Ground truth per (chunk, predictor, error bound): full compression +
-    decompression + analysis, i.e. one trial of the trial-and-error loop."""
-    preds = list(predictors)
-    ebs = [float(e) for e in ebs_rel]
-
-    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
-            d = np.asarray(arr, dtype=np.float64)
-            vrange = float(d.max() - d.min())
-            ssim_ok = with_ssim and arr.ndim in (2, 3)
-            out = []
-            for p in preds:
-                for ebr in ebs:
-                    eb_abs = ebr * vrange
-                    t0 = time.perf_counter()
-                    m = pipeline.measure(arr, p, eb_abs, with_ssim=ssim_ok)
-                    dt = time.perf_counter() - t0
-                    out.append(
-                        dict(
-                            dataset=row["dataset"],
-                            field=row["field"],
-                            chunk_id=int(row["chunk_id"]),
-                            predictor=p,
-                            kind="meas",
-                            eb_rel=ebr,
-                            eb_abs=eb_abs,
-                            n_points=int(arr.size),
-                            bitrate_huff=m["bitrate_huff"],
-                            bitrate_ll=m["bitrate_ll"],
-                            p0=m["p0"],
-                            psnr=m["psnr"],
-                            ssim=m["ssim"],
-                            seconds=dt,
-                        )
-                    )
-            yield pd.DataFrame(out)
-
-    return chunks.mapInPandas(run, schema=METRIC_SCHEMA)
-
-
-SAMPLE_SCHEMA = T.StructType(
-    [
-        T.StructField("dataset", T.StringType(), False),
-        T.StructField("field", T.StringType(), False),
-        T.StructField("chunk_id", T.IntegerType(), False),
-        T.StructField("predictor", T.StringType(), False),
-        T.StructField("std_full", T.DoubleType(), False),
-        T.StructField("std_sample", T.DoubleType(), False),
-        T.StructField("sample_err", T.DoubleType(), False),
-    ]
-)
-
-
-def sample_reports(
-    chunks: DataFrame, predictor: str, rate: float = 0.01, seed: int = 0
-) -> DataFrame:
-    """Table II "Sample Err." rows: fidelity of the sampled prediction-error
-    distribution per chunk (std deviation relative to value range)."""
-
-    def run(batches: Iterable[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for row in _iter_rows(batches):
-            arr = chunk_to_array(row)
-            rep = sample_error_report(arr, predictor, rate=rate, seed=seed)
-            yield pd.DataFrame(
-                [
-                    dict(
-                        dataset=row["dataset"],
-                        field=row["field"],
-                        chunk_id=int(row["chunk_id"]),
-                        predictor=predictor,
-                        **rep,
-                    )
-                ]
-            )
-
-    return chunks.mapInPandas(run, schema=SAMPLE_SCHEMA)

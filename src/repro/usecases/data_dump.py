@@ -33,7 +33,7 @@ from .. import analysis
 from ..compressor import pipeline
 from ..core.model import RatioQualityModel
 from ..sci_data import rtm_snapshot
-from ..sparklayer.chunks import array_to_chunks, chunk_to_array
+from ..sparklayer.chunks import array_to_chunks, batch_arrays
 
 __all__ = [
     "DUMP_SCHEMA",
@@ -180,9 +180,7 @@ def dump_snapshot(
     def run(batches):
         for pdf in batches:
             rows = []
-            for _, row in pdf.iterrows():
-                arr = chunk_to_array(row)
-                cid = int(row["chunk_id"])
+            for _, _, cid, arr in batch_arrays(pdf):
                 t_opt = 0.0
                 if method == "traditional":
                     if trad_abs is None:
